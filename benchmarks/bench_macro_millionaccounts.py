@@ -7,7 +7,10 @@ that population:
 
 * **WorldState.commit** — the initial bulk commit that builds the
   tree, and an incremental commit after touching a small hot set
-  (the per-block steady-state cost);
+  (the per-block steady-state cost).  The initial commit's ``keccak``
+  calls are counted too: the sorted IAVL builder hashes each of the
+  n leaves and n − 1 inner nodes once, and that count is gated — a
+  deterministic check that cannot flake on a slow runner;
 * **block production** — SCoin token-transfer blocks executed over the
   full-size state, serial and on the 4-worker process backend, with
   receipts and roots asserted identical;
@@ -32,6 +35,7 @@ from repro.apps.scoin import SCoin
 from repro.chain.chain import Chain
 from repro.chain.params import burrow_params
 from repro.chain.tx import CallPayload, DeployPayload, sign_transaction
+from repro.crypto.hashing import keccak_memo_info
 from repro.crypto.keys import Address, KeyPair
 from repro.metrics.report import format_table
 
@@ -54,6 +58,13 @@ def _population() -> list:
     return [Address(i.to_bytes(20, "big")) for i in range(1, ACCOUNTS + 1)]
 
 
+def _keccak_calls() -> int:
+    """``keccak`` calls so far on small inputs (≤128 bytes: every IAVL
+    leaf and inner-node input here), read off the memo's counters."""
+    info = keccak_memo_info()
+    return info.hits + info.misses
+
+
 def _build_state(chain: Chain, addresses) -> dict:
     """Fund the population and time the two commit regimes."""
     start = time.perf_counter()
@@ -61,9 +72,11 @@ def _build_state(chain: Chain, addresses) -> dict:
         chain.state.add_balance(address, 1_000)
     populate = time.perf_counter() - start
 
+    calls = _keccak_calls()
     start = time.perf_counter()
     chain.state.commit()
     initial_commit = time.perf_counter() - start
+    initial_hashes = _keccak_calls() - calls
 
     # Steady state: one block's worth of balance churn on a hot subset.
     for address in addresses[:HOT_SET]:
@@ -76,6 +89,7 @@ def _build_state(chain: Chain, addresses) -> dict:
         "populate_seconds": round(populate, 3),
         "initial_commit_seconds": round(initial_commit, 3),
         "initial_commit_us_per_account": round(initial_commit / ACCOUNTS * 1e6, 2),
+        "initial_commit_keccak_calls": initial_hashes,
         "incremental_commit_seconds": round(incremental_commit, 3),
         "incremental_commit_us_per_touched": round(
             incremental_commit / HOT_SET * 1e6, 2
@@ -245,6 +259,8 @@ def test_macro_millionaccounts(benchmark):
         ["initial commit", f"{results['accounts']} accts",
          f"{commit['initial_commit_seconds']}s",
          f"{commit['initial_commit_us_per_account']}us/acct"],
+        ["  initial commit hashes", f"{results['accounts']} accts",
+         f"{commit['initial_commit_keccak_calls']} keccak", ""],
         ["incremental commit", f"{HOT_SET} touched",
          f"{commit['incremental_commit_seconds']}s",
          f"{commit['incremental_commit_us_per_touched']}us/acct"],
@@ -279,5 +295,9 @@ def test_macro_millionaccounts(benchmark):
     # cheaper than rebuilding, and proof serving must stay logarithmic
     # (well under a millisecond per proof even at 10**6 leaves).
     assert commit["incremental_commit_seconds"] < commit["initial_commit_seconds"]
+    # Hash-count gate (deterministic): the initial commit hashes each
+    # tree node once — 2·N − 1 for N leaves — not once per node on
+    # every insert path as one-key-at-a-time insertion would.
+    assert commit["initial_commit_keccak_calls"] <= 2 * results["accounts"] + 8
     assert proofs["prove_us_per_proof"] < 50_000
     assert proofs["mean_proof_steps"] < 64

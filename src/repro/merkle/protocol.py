@@ -11,8 +11,8 @@ Two capability levels exist:
 * :class:`MerkleCommitment` — anything with a ``root_hash`` and an
   O(1) ``snapshot()``.  The binary transaction tree qualifies.
 * :class:`AuthenticatedTree` — a mutable authenticated *map* (the IAVL
-  tree and the Patricia trie): keyed get/set/delete, membership proofs,
-  ordered iteration.
+  tree and the Patricia trie): keyed get/set/delete, a sorted batch
+  ``set_many``, membership proofs, ordered iteration.
 
 ``snapshot()`` is cheap by construction: every implementation stores
 immutable, structurally shared nodes, so a snapshot is one new facade
@@ -30,7 +30,8 @@ history-dependent ones must canonically refold when a key set changes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Protocol, Tuple, runtime_checkable
+from typing import Callable, Iterator, Optional, Protocol, Sequence, Tuple
+from typing import runtime_checkable
 
 from repro.merkle.proof import MembershipProof
 
@@ -69,6 +70,10 @@ class AuthenticatedTree(Protocol):
 
     def set(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``."""
+        ...
+
+    def set_many(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
+        """``set`` each item in order; keys strictly ascending."""
         ...
 
     def get(self, key: bytes) -> Optional[bytes]:

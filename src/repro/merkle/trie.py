@@ -23,7 +23,7 @@ common :class:`~repro.merkle.proof.MembershipProof` prefix/suffix steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.hashing import keccak
 from repro.merkle.proof import MembershipProof, ProofStep
@@ -231,6 +231,12 @@ class MerklePatriciaTrie:
     def set(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``."""
         self._root = _insert(self._root, _to_nibbles(key), key, value)
+
+    def set_many(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
+        """``set`` each item in order (the root is content-determined,
+        so a plain loop already lands on the batch's root)."""
+        for key, value in items:
+            self.set(key, value)
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value for ``key`` or ``None``."""

@@ -13,12 +13,18 @@ from the raw storage contents carried by a proof bundle — is a fresh
 tree of the chain's flavour with the keys inserted in sorted order
 (:func:`compute_storage_root`).
 
-The committing chain, however, does **not** rebuild from scratch every
-block.  It keeps one *live* persistent storage trie per contract
+Every bulk write goes through the tree's sorted batch ``set_many``.
+For the IAVL tree that is an O(n) build straight into the
+sorted-insertion shape (n leaf and n − 1 inner hashes) on an empty
+tree, and one fold with shared path copying on a non-empty one, so
+each node a commit touches is hashed once.
+
+The committing chain does **not** rebuild from scratch every block.
+It keeps one *live* persistent storage trie per contract
 (:class:`~repro.merkle.protocol.AuthenticatedTree`) and, at commit,
-folds only the block's dirty slots into it, so commit cost is
-O(dirty · log S) per touched contract instead of O(S).  The incremental
-root is guaranteed bit-identical to the canonical rebuild:
+folds only the block's dirty slots into it in one batch, so commit
+cost is O(dirty · log S) per touched contract instead of O(S).  The
+incremental root is guaranteed bit-identical to the canonical rebuild:
 
 * **history-independent** flavours (the Patricia trie) commit to
   content, not history — folding changed slots in any order lands on
@@ -27,7 +33,9 @@ root is guaranteed bit-identical to the canonical rebuild:
   make the shape order-sensitive) fold *value overwrites* in place
   (overwriting a leaf never rotates, so the canonical sorted-insertion
   shape is preserved) and canonically refold the contract's trie only
-  when its **key set** changed in the block.  Bulk transitions —
+  when its **key set** changed in the block — O(S) hashes through the
+  sorted builder, not the O(S log² S) work of S sequential inserts
+  with a walked min key.  Bulk transitions —
   Move2 recreation (:meth:`WorldState.load_storage`) and garbage
   collection (:meth:`WorldState.wipe_storage`) — rebuild the trie
   canonically in a single pass.
@@ -39,6 +47,7 @@ The account tree maps ``address -> leaf`` where the leaf serializes
 balance, nonce, code hash, ``L_c``, move nonce and storage root; its
 root is the block header's ``state_root`` ``m``, and ``prove_account``
 produces the ``{v} ↦ m`` account proof embedded in Move2 transactions.
+A commit writes all dirty leaves to it with one sorted ``set_many``.
 
 Journaling
 ----------
@@ -765,13 +774,16 @@ class WorldState:
             return tree.root_hash
         # Pure incremental path: either the tree commits to content
         # alone, or every dirty slot is a value overwrite (which never
-        # rotates, preserving the canonical shape).
+        # rotates, preserving the canonical shape) or a delete of a key
+        # the tree does not hold (a no-op).
+        writes = []
         for key in sorted(dirty):
             value = record.storage.get(key)
             if value is None:
                 tree.delete(key)
             else:
-                tree.set(key, value)
+                writes.append((key, value))
+        tree.set_many(writes)
         return tree.root_hash
 
     def commit(self) -> bytes:
@@ -779,11 +791,13 @@ class WorldState:
 
         Per dirty contract, only the slots written since the last
         commit are folded into its live storage trie (O(dirty · log S)
-        instead of the O(S) rebuild).  The journal is cleared — commit
+        instead of the O(S) rebuild); the dirty leaves then go into the
+        account tree as one sorted batch.  The journal is cleared — commit
         happens at block boundaries, after which individual
         transactions can no longer be reverted.
         """
-        for address in sorted(self._dirty):
+        batch = []
+        for address in sorted(self._dirty, key=lambda a: a.raw):
             if address in self.contracts:
                 record = self.contracts[address]
                 root = self._commit_storage(address, record)
@@ -793,7 +807,8 @@ class WorldState:
                 leaf = encode_account_leaf(self.accounts[address])
             else:
                 continue  # account created and reverted within the block
-            self._account_tree.set(address.raw, leaf)
+            batch.append((address.raw, leaf))
+        self._account_tree.set_many(batch)
         self._dirty.clear()
         self._dirty_slots.clear()
         self._storage_replaced.clear()
@@ -854,8 +869,7 @@ def build_storage_trie(
 ) -> AuthenticatedTree:
     """Build a contract storage trie canonically (sorted insertion)."""
     tree = tree_factory()
-    for key in sorted(storage):
-        tree.set(key, storage[key])
+    tree.set_many(sorted(storage.items()))
     return tree
 
 
